@@ -15,10 +15,10 @@ to assert the bitmask path stays ahead of the oracle):
 * ``mask_compile_cache`` — cold compile of every opcode alternative over
   a range of IIs versus warm lookups through the content-addressed
   per-(machine, II) cache.
-* ``mindist_closure`` — the II-search probe kernel: RecMII plus a window
-  of feasibility probes and schedule-length bounds, answered by the
-  parametric MinDist closure (one envelope build per loop) versus the
-  per-II Floyd-Warshall oracle (one N³ pass per probe).
+* ``mindist_bound`` — the schedule-length bound as shipped (one
+  single-source longest-path pass per loop and II) versus reading
+  MinDist[START, STOP] off the per-II Floyd-Warshall matrix: bit-equal
+  answers, less wall time.
 * ``slot_probe_batch`` — the batched FindTimeSlot kernel
   (``first_free_slot``: one rotated bit-vector per alternative) versus
   the scalar (slot, alternative) scan, plus a scheduling-pipeline arm
@@ -269,108 +269,77 @@ def test_corpus_end_to_end(machine, corpus, emit):
     )
 
 
-#: IIs probed above the MII in the ``mindist_closure`` bench — the exact
-#: backend's per-II window plus the scheduler's II escalation both walk
-#: this range, each step a fresh Floyd-Warshall pass under the oracle.
-II_WINDOW = 12
-
-#: Corpus slice for the II-search probe kernel.
-MINDIST_LOOPS = 120
+#: IIs, from the MII up, at which the ``mindist_bound`` bench asks for
+#: the schedule-length bound (the pipeline asks at the MII and at the
+#: II the scheduler reaches, usually within this window).
+II_WINDOW = 4
 
 
-def _ii_search_workload(machine, loops, impl):
-    """The MinDist traffic of one II search per loop: the RecMII
-    computation, then feasibility probes and schedule-length bounds over
-    an ``II_WINDOW``-wide window above the MII (what the exact backend's
-    per-II encoding sweep and the scheduler's escalation ask for)."""
+def _bound_workload(loops, mii_values, bound):
+    """Every loop's bounds over the II window; returns (seconds, values)."""
+    values = []
+    start = perf_counter()
+    for loop, mii in zip(loops, mii_values):
+        for ii in range(mii, mii + II_WINDOW):
+            values.append(bound(loop.graph, ii))
+    return perf_counter() - start, values
+
+
+def _fw_bound(graph, ii):
+    """MinDist[START, STOP] read off the full Floyd-Warshall matrix."""
+    from repro.core.mindist import NO_PATH, compute_mindist
+
+    dist, index = compute_mindist(graph, ii)
+    value = dist[index[graph.START], index[graph.stop]]
+    return 0 if value == NO_PATH else int(value)
+
+
+def test_mindist_bound(machine, corpus, emit):
+    """The shipped schedule-length bound (one single-source pass from
+    START) must give the Floyd-Warshall oracle's exact value on every
+    loop and II of the slice, and take less wall time doing it.
+
+    Both arms answer the identical (loop, II) set; wall time is the best
+    of three alternating trials.  The gate is on wall clock, not on an
+    operation ratio: an op-count gate once let a 12x cut in N³ work
+    through while the pipeline got slower.
+    """
     from repro.core.mindist import schedule_length_lower_bound
 
-    counters = Counters()
-    closure_builds = 0
-    start = perf_counter()
-    for loop in loops:
-        mii_result = compute_mii(
-            loop.graph, machine, counters=counters, mindist_impl=impl
+    mii_values = [compute_mii(loop.graph, machine).mii for loop in corpus]
+    sparse_trials, fw_trials = [], []
+    for _ in range(3):
+        fw_trials.append(_bound_workload(corpus, mii_values, _fw_bound))
+        sparse_trials.append(
+            _bound_workload(corpus, mii_values, schedule_length_lower_bound)
         )
-        memo = mii_result.mindist_memo
-        for ii in range(mii_result.mii, mii_result.mii + II_WINDOW):
-            memo.feasible(ii, counters=counters)
-            schedule_length_lower_bound(loop.graph, ii, counters, memo=memo)
-        closure_builds += memo.misses if impl == "parametric" else 0
-    return perf_counter() - start, counters, closure_builds
-
-
-def test_mindist_closure(machine, corpus, emit):
-    """One parametric closure build must replace >= 10 oracle N³ passes
-    across the II search.
-
-    The enforced floor is the *probe ratio* — N³ Floyd-Warshall passes
-    the oracle runs per closure build the parametric arm pays — because
-    that is the complexity claim: the closure turns a per-II O(N³) cost
-    into a one-off build plus O(N² · P) evals.  Wall clock is recorded
-    (best of three) but not floored: a closure build costs roughly
-    eighteen FW-pass-equivalents on this corpus, so it repays itself on
-    probe-heavy sweeps (the exact backend's II window, escalation-heavy
-    searches), not on every workload shape — docs/PERFORMANCE.md carries
-    the measured break-even.
-    """
-    loops = corpus[:MINDIST_LOOPS]
-    fw_seconds, fw_counters, _ = min(
-        (_ii_search_workload(machine, loops, "fw") for _ in range(3)),
-        key=lambda r: r[0],
-    )
-    para_seconds, para_counters, builds = min(
-        (
-            _ii_search_workload(machine, loops, "parametric")
-            for _ in range(3)
-        ),
-        key=lambda r: r[0],
-    )
-
-    # Differential guard: both arms answered the identical probe set.
-    assert para_counters.mindist_invocations == 0
-    assert fw_counters.mindist_parametric_evals == 0
-    assert builds > 0
-
-    probe_ratio = fw_counters.mindist_invocations / builds
-    # N³-equivalent work: the oracle's inner-loop operations across every
-    # per-II pass versus the one-off closure builds' (each billed n³ by
-    # the envelope Floyd-Warshall).
-    work_ratio = fw_counters.mindist_inner / para_counters.mindist_closure_inner
-    speedup = fw_seconds / para_seconds
+    fw_seconds, fw_values = min(fw_trials, key=lambda r: r[0])
+    sparse_seconds, sparse_values = min(sparse_trials, key=lambda r: r[0])
+    mismatches = sum(a != b for a, b in zip(sparse_values, fw_values))
+    speedup = fw_seconds / sparse_seconds
     result = {
-        "loops": len(loops),
+        "loops": len(corpus),
         "ii_window": II_WINDOW,
+        "bounds": len(sparse_values),
+        "mismatches": mismatches,
         "fw_seconds": round(fw_seconds, 4),
-        "parametric_seconds": round(para_seconds, 4),
+        "sparse_seconds": round(sparse_seconds, 4),
         "speedup": round(speedup, 2),
-        "fw_n3_passes": fw_counters.mindist_invocations,
-        "fw_inner_ops": fw_counters.mindist_inner,
-        "closure_builds": builds,
-        "closure_inner_ops": para_counters.mindist_closure_inner,
-        "parametric_evals": para_counters.mindist_parametric_evals,
-        "probe_ratio": round(probe_ratio, 2),
-        "n3_work_ratio": round(work_ratio, 2),
     }
-    _record("mindist_closure", result)
+    _record("mindist_bound", result)
     emit(
-        "hotpath_mindist_closure",
-        f"II-search probe kernel over {len(loops)} loops "
-        f"(RecMII + {II_WINDOW}-II window of bounds/feasibility):\n"
-        f"  fw oracle  {fw_seconds:.3f}s  "
-        f"({fw_counters.mindist_invocations:,} N^3 passes)\n"
-        f"  parametric {para_seconds:.3f}s  ({builds:,} closure builds, "
-        f"{para_counters.mindist_parametric_evals:,} O(N^2 P) evals)\n"
-        f"  probe ratio {probe_ratio:.1f}x   N^3 work ratio "
-        f"{work_ratio:.1f}x   speedup {speedup:.2f}x",
+        "hotpath_mindist_bound",
+        f"Schedule-length bound over {len(corpus)} loops x {II_WINDOW} IIs "
+        f"({len(sparse_values):,} bounds, best of 3):\n"
+        f"  Floyd-Warshall oracle {fw_seconds:.3f}s   "
+        f"single-source {sparse_seconds:.3f}s   speedup {speedup:.1f}x   "
+        f"mismatches {mismatches}",
     )
-    assert probe_ratio >= 10.0, (
-        f"closure replaced only {probe_ratio:.1f} N^3 passes per build"
+    assert mismatches == 0
+    assert sparse_seconds < fw_seconds, (
+        f"single-source bound {sparse_seconds:.3f}s not faster than the "
+        f"Floyd-Warshall oracle {fw_seconds:.3f}s"
     )
-    assert work_ratio >= 3.0, (
-        f"closure saved only {work_ratio:.1f}x of the oracle's N^3 work"
-    )
-    assert para_counters.mindist_parametric_evals > 0
 
 
 def _pr3_per_loop_seconds() -> float:
@@ -453,10 +422,7 @@ def test_slot_probe_batch(machine, corpus, emit):
 
     # -- full pipeline: batched scheduler vs the recorded PR-3 entry ----
     loops = corpus[:E2E_LOOPS]
-    mii_results = [
-        compute_mii(loop.graph, machine, mindist_impl="fw")
-        for loop in loops
-    ]
+    mii_results = [compute_mii(loop.graph, machine) for loop in loops]
 
     def run(slot_impl):
         counters = Counters()
@@ -472,7 +438,6 @@ def test_slot_probe_batch(machine, corpus, emit):
                     mii_result=mii_result,
                     mrt_impl="mask",
                     slot_impl=slot_impl,
-                    mindist_impl="fw",
                 )
             )
         return perf_counter() - start, counters, results

@@ -96,7 +96,6 @@ from repro.core.scheduler import (
 )
 from repro.core.stats import Counters
 from repro.ir.serialize import graph_to_dict, schedule_from_dict, schedule_to_dict
-from repro.machine.serialize import machine_to_dict
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.workloads.corpus import CorpusLoop
 
@@ -104,8 +103,8 @@ from repro.workloads.corpus import CorpusLoop
 #: whenever the meaning of a cached payload changes (new measurements, a
 #: scheduler fix that alters results, a payload schema change) so stale
 #: entries are never resurrected.
-CODE_FORMAT_VERSION = 5  # v5: per-(slot, alternative) findtimeslot_iters,
-# parametric-MinDist counter fields in the cached counter snapshots
+CODE_FORMAT_VERSION = 6  # v6: cached counter snapshots bill the RecMII's
+# per-SCC ComputeMinDist to mindist_inner (closure counters stay 0)
 
 _PAYLOAD_FORMAT = "repro.loop-evaluation.v1"
 TIMING_FORMAT = "repro.engine-timing.v1"
@@ -168,19 +167,26 @@ def cache_key(
     schedule, and is re-attached from the live loop on every load.
     """
     graph = loop.graph if isinstance(loop, CorpusLoop) else loop
-    document = {
-        "version": CODE_FORMAT_VERSION,
-        "graph": graph_to_dict(graph),
-        "machine": machine_to_dict(machine),
-        "config": {
-            "backend": backend,
-            "budget_ratio": budget_ratio,
-            "exact_mii": exact_mii,
-            "verify_iterations": verify_iterations,
-        },
+    config = {
+        "backend": backend,
+        "budget_ratio": budget_ratio,
+        "exact_mii": exact_mii,
+        "verify_iterations": verify_iterations,
     }
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    # The canonical (sorted-key, compact) JSON of the document
+    # {"config", "graph", "machine", "version"}, spliced together so the
+    # machine part is serialized once per machine, not once per loop.
+    config_json = _canonical(config)
+    graph_json = _canonical(graph_to_dict(graph))
+    text = (
+        f'{{"config":{config_json},"graph":{graph_json},'
+        f'"machine":{machine.canonical_json},"version":{CODE_FORMAT_VERSION}}}'
+    )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _canonical(document: Any) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------
@@ -770,15 +776,14 @@ def _evaluate_loop_task(task: "_LoopTask") -> Dict[str, Any]:
             if degradation is None:
                 phase_box[0] = "mindist"
                 with timer.phase("mindist"):
-                    memo = mii_result.mindist_memo
                     at_mii = schedule_length_lower_bound(
-                        task.loop.graph, mii_result.mii, obs=obs, memo=memo
+                        task.loop.graph, mii_result.mii, obs=obs
                     )
                     if result.ii == mii_result.mii:
                         at_ii = at_mii
                     else:
                         at_ii = schedule_length_lower_bound(
-                            task.loop.graph, result.ii, obs=obs, memo=memo
+                            task.loop.graph, result.ii, obs=obs
                         )
             else:
                 # A degraded schedule is outside the paper's statistics;

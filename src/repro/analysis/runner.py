@@ -147,14 +147,11 @@ def evaluate_loop(
         mii_result=mii_result,
     )
     list_sl = list_schedule_length(loop.graph, machine)
-    memo = mii_result.mindist_memo
-    at_mii = schedule_length_lower_bound(
-        loop.graph, mii_result.mii, memo=memo
-    )
+    at_mii = schedule_length_lower_bound(loop.graph, mii_result.mii)
     if result.ii == mii_result.mii:
         at_ii = at_mii
     else:
-        at_ii = schedule_length_lower_bound(loop.graph, result.ii, memo=memo)
+        at_ii = schedule_length_lower_bound(loop.graph, result.ii)
     return LoopEvaluation(
         loop=loop,
         n_ops=loop.graph.n_ops,

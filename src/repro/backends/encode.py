@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.deadline import Deadline, check_deadline
-from repro.core.mindist import NO_PATH, MinDistMemo
+from repro.core.mindist import NO_PATH, single_source_mindist
 from repro.core.schedule import Schedule
-from repro.core.stats import Counters
 from repro.ir.graph import DependenceGraph
 from repro.machine.machine import CompiledMaskSet
 from repro.machine.resources import ReservationTable
@@ -97,8 +96,6 @@ def encode_exact_ii(
     graph: DependenceGraph,
     machine,
     ii: int,
-    memo: Optional[MinDistMemo] = None,
-    counters: Optional[Counters] = None,
     deadline: Optional[Deadline] = None,
     max_slack: Optional[int] = None,
     max_time_vars: Optional[int] = None,
@@ -113,19 +110,19 @@ def encode_exact_ii(
     formula whose summed window widths exceed the budget, and
     ``max_clauses`` refuses after building when the clause count does —
     both guard the pure-python solver against formulas it cannot finish.
+
+    The windows need only ``MinDist[START, op]`` and ``MinDist[op, STOP]``:
+    one single-source pass from START and its mirror into STOP.  A pass
+    that does not converge is a positive circuit — :data:`INFEASIBLE`
+    with reason ``"recurrence"``.
     """
     if ii < 1:
         raise ValueError(f"II must be >= 1, got {ii}")
     check_deadline(deadline, "exact encoding")
-    if memo is None:
-        memo = MinDistMemo(graph)
-    # Under the parametric MinDist the feasibility probe is one
-    # comparison against the closure's precomputed diagonal crossing, so
-    # a recurrence-infeasible II is rejected without ever materializing
-    # its matrix; the windows below are only built for live candidates.
-    if not memo.feasible(ii, counters=counters, deadline=deadline):
+    from_start = single_source_mindist(graph, ii, deadline=deadline)
+    if from_start is None:
         return ExactEncoding(ii, INFEASIBLE, reason="recurrence")
-    dist, index = memo.mindist(ii, counters=counters, deadline=deadline)
+    to_stop = single_source_mindist(graph, ii, to_stop=True, deadline=deadline)
 
     compiled_masks = getattr(machine, "compiled_masks", None)
     mask_set = (
@@ -148,7 +145,6 @@ def encode_exact_ii(
     # argument: the slack covers the worst-case residue rounding of
     # every edge on a longest path).
     start, stop = graph.START, graph.stop
-    s_row = index[start]
     full_slack = (graph.n_ops - 1) * (ii - 1)
     slack = full_slack
     truncated = False
@@ -156,25 +152,19 @@ def encode_exact_ii(
         slack = max(max_slack, 0)
         truncated = True
 
-    def from_start(op: int) -> int:
-        value = dist[s_row, index[op]]
-        return 0 if value == NO_PATH else int(max(0.0, value))
-
-    lo = {op: from_start(op) for op in range(graph.n_ops)}
-    lo[start] = 0
+    lo = {
+        op: 0 if value == NO_PATH else max(0, value)
+        for op, value in enumerate(from_start)
+    }
     horizon = lo[stop] + slack
-    hi: Dict[int, int] = {}
-    stop_col = index[stop]
+    hi: Dict[int, int] = {start: 0}
     for op in range(graph.n_ops):
         if op == start:
-            hi[op] = 0
             continue
         bound = lo[op] + slack
-        to_stop = dist[index[op], stop_col]
-        if to_stop != NO_PATH:
-            bound = min(bound, horizon - int(to_stop))
+        if to_stop[op] != NO_PATH:
+            bound = min(bound, horizon - to_stop[op])
         hi[op] = max(bound, lo[op])
-    hi[start] = 0
 
     if max_time_vars is not None:
         window_sum = sum(hi[op] - lo[op] + 1 for op in range(graph.n_ops))

@@ -48,7 +48,6 @@ from repro.baselines.list_scheduler import list_schedule
 from repro.check.validate import check_schedule
 from repro.core.deadline import Deadline, check_deadline
 from repro.core.mii import MIIResult, compute_mii
-from repro.core.mindist import MinDistMemo
 from repro.core.scheduler import (
     ModuloScheduleResult,
     SchedulingFailure,
@@ -147,7 +146,7 @@ class ExactBackend(SchedulerBackend):
         return cert
 
     def _probe_ii(
-        self, graph, machine, ii, memo, counters, deadline
+        self, graph, machine, ii, deadline
     ) -> tuple:
         """Decide one candidate II.
 
@@ -169,8 +168,6 @@ class ExactBackend(SchedulerBackend):
                 graph,
                 machine,
                 ii,
-                memo=memo,
-                counters=counters,
                 deadline=deadline,
                 max_slack=slack,
                 max_time_vars=self.max_time_vars,
@@ -241,7 +238,6 @@ class ExactBackend(SchedulerBackend):
                 deadline=deadline,
             )
         mii = mii_result.mii
-        memo = mii_result.mindist_memo or MinDistMemo(graph)
 
         # ---- heuristic upper bound (also the fallback schedule when a
         # probe comes back unknown).
@@ -352,7 +348,7 @@ class ExactBackend(SchedulerBackend):
                 check_deadline(deadline, "exact II probe")
                 with obs.span("schedule.exact.attempt", ii=ii) as attempt:
                     verdict, encoding, result = self._probe_ii(
-                        graph, machine, ii, memo, counters, deadline
+                        graph, machine, ii, deadline
                     )
                     conflicts = (
                         int(result.stats.get("conflicts", 0))

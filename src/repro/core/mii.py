@@ -18,14 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.deadline import Deadline, check_deadline
-from repro.core.mindist import (
-    MinDistMemo,
-    compute_mindist,
-    mindist_feasible,
-)
+from repro.core.mindist import compute_mindist, mindist_feasible
 from repro.core.scc import nontrivial_components, shared_components
 from repro.core.stats import Counters
 from repro.ir.graph import DependenceGraph, GraphError
@@ -49,12 +45,6 @@ class MIIResult:
         All SCCs of the graph (reverse topological order).
     rec_mii_exact:
         Whether ``rec_mii`` is the true RecMII.
-    mindist_memo:
-        The :class:`~repro.core.mindist.MinDistMemo` accumulated while
-        searching for the RecMII (``None`` when the result was rebuilt
-        from a serialized payload).  Downstream consumers pass it back
-        into :func:`repro.core.mindist.schedule_length_lower_bound` so
-        the feasible-II matrices are reused instead of recomputed.
     """
 
     res_mii: int
@@ -62,9 +52,6 @@ class MIIResult:
     mii: int
     components: List[List[int]] = field(default_factory=list)
     rec_mii_exact: bool = True
-    mindist_memo: Optional[MinDistMemo] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n_nontrivial_sccs(self) -> int:
@@ -113,44 +100,23 @@ def _min_feasible_ii(
     ops: Sequence[int],
     start: int,
     counters: Optional[Counters],
-    memo: Optional[MinDistMemo] = None,
     deadline: Optional[Deadline] = None,
 ) -> int:
     """Smallest II >= start with no positive MinDist diagonal over ``ops``.
 
     Implements the paper's search: try the seed; on failure grow the
     candidate by a doubling increment; finally binary-search between the
-    last unsuccessful and first successful candidates.  Probes go through
-    ``memo`` when one is supplied, so no (ops, II) pair is ever
-    recomputed — neither within this search (the doubling and
-    binary-search phases share one memo) nor by later consumers of the
-    same memo.  ``deadline`` is checked before every probe (each one is
-    a full Floyd-Warshall pass over the SCC), so a watchdog can stop a
+    last unsuccessful and first successful candidates.  No candidate is
+    probed twice, so every probe is one fresh ComputeMinDist pass over
+    ``ops`` (billed to ``mindist_inner``, the Table 4 counter).
+    ``deadline`` is checked before every probe, so a watchdog can stop a
     pathological doubling search between candidates.
-
-    With a parametric memo (``memo.impl == "parametric"``) there is no
-    search at all: the closure over ``ops`` answers in closed form with
-    the smallest II where the diagonal envelope crosses ≤ 0.  Because
-    feasibility is monotone in II (every diagonal line has distance
-    ≥ 0), ``max(seed, crossing)`` is exactly what the doubling/binary
-    discipline converges to.
     """
     ops = list(ops)
-    if memo is not None and memo.impl == "parametric":
-        closure = memo.closure(ops, counters, deadline)
-        crossing = closure.crossing()
-        if math.isinf(crossing):
-            raise GraphError(
-                f"graph {graph.name!r} has a zero-distance dependence "
-                "circuit; no initiation interval is feasible"
-            )
-        return max(max(1, start), int(crossing))
 
     def feasible(ii: int) -> bool:
         """No positive MinDist diagonal over ``ops`` at this II."""
         check_deadline(deadline, "mindist doubling search")
-        if memo is not None:
-            return memo.feasible(ii, ops, counters, deadline)
         dist, _ = compute_mindist(graph, ii, ops, counters, deadline)
         return mindist_feasible(dist)
 
@@ -200,16 +166,13 @@ def rec_mii(
     start: int = 1,
     counters: Optional[Counters] = None,
     components: Optional[List[List[int]]] = None,
-    memo: Optional[MinDistMemo] = None,
     deadline: Optional[Deadline] = None,
 ) -> int:
     """Recurrence-constrained MII, computed one SCC at a time.
 
     ``start`` seeds the search (the production compiler seeds with ResMII;
     pass 1 for the exact RecMII).  Reflexive dependence edges on trivial
-    SCCs are handled analytically as ceil(delay / distance).  ``memo``
-    (a :class:`~repro.core.mindist.MinDistMemo` over ``graph``) caches
-    every feasibility probe's MinDist matrix.
+    SCCs are handled analytically as ceil(delay / distance).
     """
     best = max(1, start)
     if components is None:
@@ -224,13 +187,9 @@ def rec_mii(
                     f"operation {op} with positive delay"
                 )
             best = max(best, math.ceil(edge.delay / edge.distance))
-    # Each SCC pays its own (small) MinDist analysis; with a parametric
-    # memo, _min_feasible_ii answers from one per-SCC closure in closed
-    # form instead of a doubling/binary search of per-II passes.
+    # Each SCC pays its own (small) MinDist analysis.
     for component in nontrivial_components(components):
-        best = _min_feasible_ii(
-            graph, component, best, counters, memo, deadline
-        )
+        best = _min_feasible_ii(graph, component, best, counters, deadline)
     return best
 
 
@@ -238,18 +197,14 @@ def rec_mii_whole_graph(
     graph: DependenceGraph,
     start: int = 1,
     counters: Optional[Counters] = None,
-    memo: Optional[MinDistMemo] = None,
 ) -> int:
     """RecMII computed on the whole graph at once (no SCC decomposition).
 
     Exists for the ablation study of Section 2.2's observation that
     per-SCC computation makes the O(N^3) ComputeMinDist affordable; the
-    answer is identical to :func:`rec_mii`, only the cost differs (which
-    is why the memo is opt-in here: the ablation must measure real work).
+    answer is identical to :func:`rec_mii`, only the cost differs.
     """
-    return _min_feasible_ii(
-        graph, list(range(graph.n_ops)), start, counters, memo
-    )
+    return _min_feasible_ii(graph, list(range(graph.n_ops)), start, counters)
 
 
 def compute_mii(
@@ -259,7 +214,6 @@ def compute_mii(
     exact: bool = True,
     obs=None,
     deadline: Optional[Deadline] = None,
-    mindist_impl: Optional[str] = None,
 ) -> MIIResult:
     """Compute MII = max(ResMII, RecMII) for a sealed graph.
 
@@ -270,26 +224,14 @@ def compute_mii(
     does not exceed ResMII — but ``mii`` is identical either way.
 
     ``obs`` (an optional :class:`repro.obs.ObsContext`) receives one
-    ``mii`` span with ``mii.scc``/``mii.res``/``mii.rec`` children, the
-    resulting bounds attached as attributes, plus the deterministic
-    ``mii.mindist_cache_hits`` counter (probes served by the
-    :class:`~repro.core.mindist.MinDistMemo` instead of a fresh
-    Floyd-Warshall pass).  The memo rides out on the result's
-    ``mindist_memo`` so the schedule-length bounds reuse it.
-
-    ``mindist_impl`` picks how MinDist queries are answered
-    (``"parametric"`` closes the envelope semiring once per graph and
-    reads the RecMII off the diagonal in closed form; ``"fw"`` is the
-    per-II Floyd-Warshall oracle) — explicit arg > ``REPRO_MINDIST_IMPL``
-    environment override > parametric.  The result is identical either
-    way; only the cost differs.
+    ``mii`` span with ``mii.scc``/``mii.res``/``mii.rec`` children and
+    the resulting bounds attached as attributes.
     """
     from repro.obs.context import NULL_OBS
 
     obs = obs if obs is not None else NULL_OBS
     if not graph.sealed:
         raise GraphError(f"graph {graph.name!r} must be sealed before MII")
-    memo = MinDistMemo(graph, impl=mindist_impl)
     with obs.span("mii", graph=graph.name, exact=exact) as mii_span:
         with obs.span("mii.scc"):
             components = shared_components(graph, counters)
@@ -298,17 +240,12 @@ def compute_mii(
             res_span.set("res_mii", res)
         with obs.span("mii.rec") as rec_span:
             if exact:
-                rec = rec_mii(graph, 1, counters, components, memo, deadline)
+                rec = rec_mii(graph, 1, counters, components, deadline)
                 mii = max(res, rec)
             else:
-                mii = rec_mii(
-                    graph, res, counters, components, memo, deadline
-                )
+                mii = rec_mii(graph, res, counters, components, deadline)
                 rec = mii
             rec_span.set("rec_mii", rec)
-            rec_span.set("mindist_cache_hits", memo.hits)
-        obs.counter("mii.mindist_cache_hits").inc(memo.hits)
-        obs.counter("mindist.parametric_evals").inc(memo.parametric_evals)
         mii_span.set("mii", mii)
     return MIIResult(
         res_mii=res,
@@ -316,5 +253,4 @@ def compute_mii(
         mii=mii,
         components=components,
         rec_mii_exact=exact,
-        mindist_memo=memo,
     )

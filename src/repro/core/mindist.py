@@ -11,69 +11,39 @@ A positive diagonal entry means some recurrence circuit requires an
 operation to be scheduled after itself — the II is infeasible.  The RecMII
 is the smallest II with no positive diagonal entry.
 
-Two implementations answer MinDist queries:
+The per-loop pipeline asks MinDist only what the paper asks of it:
 
-* ``fw`` — :func:`compute_mindist`, a direct O(N³) Floyd-Warshall pass at
-  one fixed II.  This is the paper's formulation and stays on as the
-  differential oracle, exactly as the dict MRT backs the bitmask MRT.
-* ``parametric`` (the default) — :class:`ParametricMinDist` runs
-  Floyd-Warshall **once per graph** in the semiring of upper envelopes of
-  lines.  Every path contributes ``delay − II·distance``, a line in the
-  unknown II, so each matrix cell carries the small Pareto frontier of
-  ``(delay, distance)`` pairs that can be maximal for *some* integer
-  II ≥ 1.  Any ``MinDist(II)`` then materializes in O(N²·P) as one
-  vectorized max over the stacked coefficient planes, and the RecMII of a
-  path-closed operation set falls out in closed form — the smallest
-  integer II where the diagonal envelope crosses ≤ 0 — killing the
-  doubling/binary search's repeated N³ probes.
+* the RecMII (:mod:`repro.core.mii`) reads the diagonal of
+  :func:`compute_mindist` run on one SCC at a time;
+* the schedule-length bound (Section 4.2) needs the single entry
+  ``MinDist[START, STOP]``, and the exact backend's per-operation time
+  windows need the START row and the STOP column.  Those are
+  single-source longest paths, answered by :func:`single_source_mindist`
+  (Bellman-Ford, O(N·E) on graphs with E ≈ N) and bit-identical to the
+  corresponding entries of the full matrix at every feasible II.
 
-Select the implementation per call site (``MinDistMemo(graph, impl=...)``,
-``compute_mii(..., mindist_impl=...)``) or process-wide with the
-``REPRO_MINDIST_IMPL`` environment variable; see
-:func:`resolve_mindist_impl`.  Both implementations are **bit-identical**
-on every materialized matrix: evaluating the parametric closure at a
-fixed integer II ≥ 1 is a semiring homomorphism onto the scalar (max, +)
-computation, the pruning rule only drops lines dominated at *every*
-integer II ≥ 1, and all values are integer-valued float64s, so even the
-arithmetic is exact.  This is property-tested against random graphs in
-``tests/core/test_mindist_parametric.py`` and over the full corpus in
-``tests/test_differential.py``.
+:class:`ParametricMinDist` — Floyd-Warshall once per graph in the
+semiring of upper envelopes of lines, so any ``MinDist(II)`` materializes
+in O(N²·P) — is not on that path: per-SCC Floyd-Warshall beat it on the
+RecMII and the single-source pass beat it on the bounds
+(docs/PERFORMANCE.md).  It stays because the repository's benchmark
+(``perfbench/bench.py``) screens its seeded synthetic inputs by the
+closure's plane count, and runs of the benchmark on different commits
+must draw identical corpora.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.deadline import Deadline, check_deadline
 from repro.core.stats import Counters
-from repro.ir.graph import DependenceGraph
+from repro.ir.graph import DependenceGraph, GraphError
 
 #: The matrix value standing for "no path from i to j".
 NO_PATH = -np.inf
-
-#: The implementations a MinDist query can be answered by.
-MINDIST_IMPLS = ("parametric", "fw")
-
-#: Environment override consulted when no explicit ``mindist_impl`` is given.
-MINDIST_IMPL_ENV = "REPRO_MINDIST_IMPL"
-
-
-def resolve_mindist_impl(impl: Optional[str] = None) -> str:
-    """Pick the MinDist implementation: explicit arg > environment > parametric."""
-    choice = (
-        impl
-        if impl is not None
-        else os.environ.get(MINDIST_IMPL_ENV, "parametric")
-    )
-    if choice not in MINDIST_IMPLS:
-        raise ValueError(
-            f"unknown MinDist implementation {choice!r}; "
-            f"choose from {MINDIST_IMPLS}"
-        )
-    return choice
 
 
 def compute_mindist(
@@ -388,165 +358,91 @@ class ParametricMinDist:
         return ii >= self.crossing(ops)
 
 
-class MinDistMemo:
-    """Memo of ``(ops, II) -> MinDist matrix`` for one graph's analysis.
+def single_source_mindist(
+    graph: DependenceGraph,
+    ii: int,
+    to_stop: bool = False,
+    deadline: Optional[Deadline] = None,
+) -> Optional[List]:
+    """One MinDist row or column by Bellman-Ford longest paths.
 
-    ComputeMinDist is the N³ term of the paper's cost model, and the II
-    search probes it repeatedly: the RecMII search per SCC, then
-    whole-graph passes for the schedule-length bounds and the exact
-    backend's per-II windows.  One memo object covers one graph's
-    pipeline (``compute_mii`` creates it and hands it on via
-    :attr:`repro.core.mii.MIIResult.mindist_memo`), so no (ops, II) pair
-    is ever recomputed — while keeping the memo *explicitly scoped*: the
-    cost-model benchmarks that compare per-SCC against whole-graph
-    RecMII still measure real work, because each arm brings its own memo
-    (or none).
+    Returns a list indexed by operation: ``MinDist[START, op]`` for every
+    ``op`` (or, with ``to_stop``, ``MinDist[op, STOP]``), :data:`NO_PATH`
+    where no path exists, the source's own entry 0.  Arithmetic is on
+    integers throughout.  At any II where the full matrix has no positive
+    diagonal these are exactly the entries :func:`compute_mindist` holds.
 
-    ``impl`` picks how misses are answered (see
-    :func:`resolve_mindist_impl`): under ``"parametric"`` the memo
-    builds one :class:`ParametricMinDist` closure per distinct ops set
-    and materializes matrices from it in O(N²·P); under ``"fw"`` every
-    miss is a fresh O(N³) :func:`compute_mindist` pass.  Either way the
-    matrices handed out are bit-identical.
+    Returns ``None`` when the relaxation has not converged after N
+    sweeps: a positive-weight circuit is reachable (in a sealed graph
+    every circuit is), so ``ii`` is below the RecMII.  ``deadline`` is
+    checked before every sweep.
     """
-
-    def __init__(
-        self, graph: DependenceGraph, impl: Optional[str] = None
-    ) -> None:
-        self.graph = graph
-        self.impl = resolve_mindist_impl(impl)
-        # The all-ops key is by far the most probed; build it once
-        # instead of re-tupling range(n_ops) on every bound.
-        self._all_ops_key = tuple(range(graph.n_ops))
-        self._entries: Dict[Tuple[Tuple[int, ...], int], Tuple] = {}
-        self._closures: Dict[Tuple[int, ...], ParametricMinDist] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def all_ops_key(self) -> Tuple[int, ...]:
-        """The canonical (cached) key for whole-graph queries."""
-        return self._all_ops_key
-
-    def _ops_key(self, ops: Optional[Sequence[int]]) -> Tuple[int, ...]:
-        return self._all_ops_key if ops is None else tuple(ops)
-
-    @property
-    def parametric_evals(self) -> int:
-        """Matrices materialized from this memo's parametric closures."""
-        return sum(c.evals for c in self._closures.values())
-
-    def closure(
-        self,
-        ops: Optional[Sequence[int]] = None,
-        counters: Optional[Counters] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> ParametricMinDist:
-        """The (cached) parametric closure over ``ops``.
-
-        A build counts as a miss (the fresh N³-equivalent pass); a
-        cached closure counts as a hit — any query it answers, at any
-        II, is served from already-computed state.
-        """
-        key = self._ops_key(ops)
-        closure = self._closures.get(key)
-        if closure is None:
-            self.misses += 1
-            closure = ParametricMinDist(self.graph, key, counters, deadline)
-            self._closures[key] = closure
-        else:
-            self.hits += 1
-        return closure
-
-    def mindist(
-        self,
-        ii: int,
-        ops: Optional[Sequence[int]] = None,
-        counters: Optional[Counters] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Tuple[np.ndarray, Dict[int, int]]:
-        """Memoized MinDist matrix over this memo's graph."""
-        ops_key = self._ops_key(ops)
-        entry = self._entries.get((ops_key, ii))
-        if entry is not None:
-            self.hits += 1
-            return entry
-        if self.impl == "parametric":
-            # closure() does the hit/miss accounting: materializing a
-            # matrix from an already-built closure is served from memo
-            # state, only the build itself is a miss.
-            closure = self.closure(ops_key, counters, deadline)
-            entry = (closure.matrix(ii, counters), closure.index_map)
-        else:
-            self.misses += 1
-            entry = compute_mindist(self.graph, ii, ops_key, counters, deadline)
-        self._entries[(ops_key, ii)] = entry
-        return entry
-
-    def feasible(
-        self,
-        ii: int,
-        ops: Optional[Sequence[int]] = None,
-        counters: Optional[Counters] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> bool:
-        """Memoized feasibility probe (no positive MinDist diagonal).
-
-        Under the parametric implementation this never materializes a
-        matrix: feasibility is one comparison against the closure's
-        precomputed diagonal crossing.
-        """
-        if self.impl == "parametric":
-            closure = self.closure(ops, counters, deadline)
-            return closure.feasible(ii)
-        dist, _ = self.mindist(ii, ops, counters, deadline)
-        return mindist_feasible(dist)
+    if ii < 1:
+        raise ValueError(f"II must be >= 1, got {ii}")
+    edges = graph.edges
+    tails = [e.pred for e in edges]
+    heads = [e.succ for e in edges]
+    source = graph.START
+    if to_stop:
+        # Walk the edges backwards from STOP.
+        tails, heads = heads, tails
+        source = graph.stop
+    # Relax arcs in program order of their tail (latest first when
+    # walking backwards): intra-iteration edges mostly run forward, so
+    # most passes settle in one sweep (plus the one that confirms it).
+    # Flat lists, not per-arc tuples, keep the pass nearly free of
+    # allocations the garbage collector tracks.
+    order = sorted(range(len(edges)), key=tails.__getitem__, reverse=to_stop)
+    us = [tails[i] for i in order]
+    vs = [heads[i] for i in order]
+    ws = [edges[i].delay - ii * edges[i].distance for i in order]
+    n = graph.n_ops
+    dist: List = [NO_PATH] * n
+    dist[source] = 0
+    for _ in range(n):
+        check_deadline(deadline, "mindist")
+        changed = False
+        for u, v, weight in zip(us, vs, ws):
+            candidate = dist[u] + weight
+            if candidate > dist[v]:
+                dist[v] = candidate
+                changed = True
+        if not changed:
+            return dist
+    return None
 
 
 def schedule_length_lower_bound(
     graph: DependenceGraph,
     ii: int,
-    counters: Optional[Counters] = None,
     obs=None,
-    memo: Optional[MinDistMemo] = None,
     deadline: Optional[Deadline] = None,
 ) -> int:
     """MinDist[START, STOP]: the dependence-imposed lower bound on SL.
 
     The paper's lower bound on the modulo schedule length for a given II is
     the larger of this quantity and the acyclic list schedule length
-    (Section 4.2); the baseline package provides the latter.
+    (Section 4.2); the baseline package provides the latter.  One
+    single-source pass from START answers it (see
+    :func:`single_source_mindist`); the value equals
+    ``compute_mindist(graph, ii)[START, STOP]`` (0 when STOP is
+    unreachable).  Raises :class:`~repro.ir.graph.GraphError` when
+    ``ii`` is below the RecMII — the bound is undefined there.
 
     ``obs`` (an optional :class:`repro.obs.ObsContext`) receives one
-    ``mindist.bound`` span per call plus the deterministic
-    ``mindist.parametric_evals`` counter (matrices served from a
-    parametric closure rather than an N³ pass).  Passing the ``memo``
-    carried by a prior MII computation (see :class:`MinDistMemo`) makes
-    repeated bounds for one graph free — and under the parametric
-    implementation even the first bound at a new II is only an O(N²·P)
-    evaluation of the already-closed envelope.  Without a memo the
-    direct Floyd-Warshall pass is used: a one-shot bound has no II
-    search to amortize a closure over.
+    ``mindist.bound`` span per call.
     """
     from repro.obs.context import NULL_OBS
 
     obs = obs if obs is not None else NULL_OBS
     with obs.span("mindist.bound", ii=ii, n_ops=graph.n_ops) as span:
-        if memo is not None and memo.graph is graph:
-            before_hits = memo.hits
-            before_evals = memo.parametric_evals
-            dist, index_map = memo.mindist(
-                ii, counters=counters, deadline=deadline
+        row = single_source_mindist(graph, ii, deadline=deadline)
+        if row is None:
+            raise GraphError(
+                f"graph {graph.name!r} has a positive dependence circuit "
+                f"at II={ii}; the schedule-length bound needs II >= RecMII"
             )
-            span.set("cache_hit", memo.hits > before_hits)
-            obs.counter("mindist.parametric_evals").inc(
-                memo.parametric_evals - before_evals
-            )
-        else:
-            dist, index_map = compute_mindist(
-                graph, ii, counters=counters, deadline=deadline
-            )
-        value = dist[index_map[graph.START], index_map[graph.stop]]
-        bound = 0 if value == NO_PATH else int(value)
+        value = row[graph.stop]
+        bound = 0 if value == NO_PATH else value
         span.set("bound", bound)
     return bound

@@ -7,11 +7,9 @@ executes as a function of N, the number of operations in the loop.  The
 the same quantities:
 
 * ``mindist_inner`` — innermost-loop executions of ComputeMinDist,
-* ``mindist_closure_inner`` — innermost-loop executions of the parametric
-  closure build (one N³-equivalent pass per graph, amortized over every
-  II the search probes),
-* ``mindist_parametric_evals`` — MinDist matrices materialized from an
-  already-built parametric closure (each one O(N²·P), not N³),
+* ``mindist_closure_inner`` / ``mindist_parametric_evals`` — the build
+  and materialization work of :class:`repro.core.mindist.ParametricMinDist`,
+  which the per-loop pipeline does not use (both stay 0 there),
 * ``heightr_inner`` — edge relaxations when solving the HeightR equations,
 * ``estart_preds`` — predecessor edges examined while computing Estart,
 * ``findtimeslot_iters`` — time slots examined by FindTimeSlot,

@@ -105,22 +105,29 @@ class MachineDescription:
                         f"unknown resources {sorted(missing)}"
                     )
             self._opcodes[opcode.name] = opcode
+        self._canonical_json: Optional[str] = None
         self._content_key: Optional[str] = None
         self._mask_sets: Dict[int, CompiledMaskSet] = {}
 
     # ------------------------------------------------------------------
 
     @property
+    def canonical_json(self) -> str:
+        """The serialized machine as sorted-key compact JSON (memoized)."""
+        if self._canonical_json is None:
+            from repro.machine.serialize import machine_to_dict
+
+            self._canonical_json = json.dumps(
+                machine_to_dict(self), sort_keys=True, separators=(",", ":")
+            )
+        return self._canonical_json
+
+    @property
     def content_key(self) -> str:
         """SHA-256 of the canonical serialized machine (lazy, memoized)."""
         if self._content_key is None:
-            from repro.machine.serialize import machine_to_dict
-
-            text = json.dumps(
-                machine_to_dict(self), sort_keys=True, separators=(",", ":")
-            )
             self._content_key = hashlib.sha256(
-                text.encode("utf-8")
+                self.canonical_json.encode("utf-8")
             ).hexdigest()
         return self._content_key
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from repro.analysis.engine import (
 )
 from repro.analysis.regression import load_timing_report, timing_speedup
 from repro.ir import DependenceGraph, DependenceKind
+from repro.ir.serialize import graph_to_dict
 from repro.machine import cydra5
 from repro.machine.serialize import machine_from_dict, machine_to_dict
 from repro.workloads import build_corpus
@@ -179,6 +181,48 @@ class TestCacheKey:
             executed=not loop.executed,
         )
         assert cache_key(loop, machine) == cache_key(twin, machine)
+
+
+class TestCacheKeyBytes:
+    def test_keys_equal_the_whole_document_formula(self, machine):
+        """The spliced key text is byte-for-byte the canonical dump of
+        the whole key document, for every corpus loop on every shipped
+        machine (and on a machine rebuilt from its own JSON), under the
+        default and non-default scheduler configurations."""
+        from repro.cli import MACHINES
+
+        loops = build_corpus(machine, n_synthetic=200, seed=5)
+        machines = [factory() for _, factory in sorted(MACHINES.items())]
+        machines.append(machine_from_dict(machine_to_dict(machine)))
+        cases = [(target, {}) for target in machines] + [
+            (
+                machine,
+                dict(budget_ratio=2.5, exact_mii=False, verify_iterations=16),
+            ),
+            (machine, dict(backend="exact")),
+        ]
+        for target, config in cases:
+            document_config = {
+                "backend": "ims",
+                "budget_ratio": 6.0,
+                "exact_mii": True,
+                "verify_iterations": 0,
+                **config,
+            }
+            for loop in loops:
+                document = {
+                    "version": engine_module.CODE_FORMAT_VERSION,
+                    "graph": graph_to_dict(loop.graph),
+                    "machine": machine_to_dict(target),
+                    "config": document_config,
+                }
+                text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+                expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                assert cache_key(loop, target, **config) == expected, (
+                    target.name,
+                    loop.name,
+                    config,
+                )
 
 
 class TestPayloadRoundTrip:

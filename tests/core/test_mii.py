@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import Counters, MinDistMemo, compute_mii, rec_mii, res_mii
-from repro.core.mindist import schedule_length_lower_bound
+from repro.core import Counters, compute_mii, rec_mii, res_mii
+from repro.core.mindist import compute_mindist, schedule_length_lower_bound
 from repro.ir import DependenceGraph, DependenceKind, GraphError
 from repro.machine import (
     cydra5,
@@ -176,100 +176,54 @@ class TestComputeMII:
 
 
 class TestMinDistMemoization:
-    def test_warm_memo_recomputes_nothing(self, alu):
-        """A second RecMII search over the same fw memo performs zero
-        fresh ComputeMinDist passes — every probe is a cache hit."""
-        graph = cross_iteration_graph(alu, distance=1)
-        memo = MinDistMemo(graph, impl="fw")
-        cold = Counters()
-        assert rec_mii(graph, counters=cold, memo=memo) == 4
-        assert cold.mindist_invocations > 0
-        assert memo.misses == cold.mindist_invocations
-        warm = Counters()
-        assert rec_mii(graph, counters=warm, memo=memo) == 4
-        assert warm.mindist_invocations == 0
-        assert memo.hits >= memo.misses
+    """Nothing around MinDist is memoized: every RecMII probe is a fresh
+    per-SCC ComputeMinDist pass, billed to the Table 4 counter, and every
+    schedule-length bound is a fresh single-source pass."""
 
-    def test_warm_parametric_memo_recomputes_nothing(self, alu):
-        """Under the parametric default the closure is built exactly once
-        (the only miss); a warm RecMII does no fresh N³-equivalent work."""
+    def test_default_compute_mii_bills_mindist_inner(self, alu):
+        """The Table 4 "MII calculation (MinDist inner)" row reads
+        ``mindist_inner``; the default path must fill it, one N³ charge
+        per probe, and leave the closure counters at zero."""
         graph = cross_iteration_graph(alu, distance=1)
-        memo = MinDistMemo(graph, impl="parametric")
-        cold = Counters()
-        assert rec_mii(graph, counters=cold, memo=memo) == 4
-        assert cold.mindist_invocations == 0
-        assert cold.mindist_closure_inner > 0
-        assert memo.misses == 1
-        warm = Counters()
-        assert rec_mii(graph, counters=warm, memo=memo) == 4
-        assert warm.mindist_closure_inner == 0
-        assert memo.misses == 1
-        assert memo.hits >= 1
-
-    def test_compute_mii_carries_the_memo_out(self, alu):
-        graph = cross_iteration_graph(alu, distance=1)
-        result = compute_mii(graph, alu)
-        assert result.mindist_memo is not None
-        assert result.mindist_memo.graph is graph
-        assert result.mindist_memo.misses > 0
-
-    def test_bound_reuses_feasible_ii_matrices(self, alu):
-        """Repeated schedule-length bounds at one II cost one whole-graph
-        Floyd-Warshall pass in total when the fw MII memo is passed back."""
-        graph = cross_iteration_graph(alu, distance=1)
-        result = compute_mii(graph, alu, mindist_impl="fw")
-        memo = result.mindist_memo
+        assert any(len(c) > 1 for c in compute_mii(graph, alu).components)
         counters = Counters()
-        first = schedule_length_lower_bound(
-            graph, result.mii, counters, memo=memo
-        )
-        after_first = counters.mindist_invocations
-        assert after_first == 1
-        second = schedule_length_lower_bound(
-            graph, result.mii, counters, memo=memo
-        )
-        assert second == first
-        assert counters.mindist_invocations == after_first
-        assert memo.hits >= 1
+        compute_mii(graph, alu, counters)
+        assert counters.mindist_inner > 0
+        assert counters.mindist_invocations > 0
+        assert counters.mindist_closure_inner == 0
+        assert counters.mindist_parametric_evals == 0
 
-    def test_bound_materializes_from_the_parametric_closure(self, alu):
-        """Under the parametric default a bound at a fresh II is one
-        O(N²·P) evaluation of the already-closed envelope — no new
-        Floyd-Warshall pass — and repeating it is an entry cache hit."""
+    def test_repeated_rec_mii_pays_the_same_passes(self, alu):
         graph = cross_iteration_graph(alu, distance=1)
-        result = compute_mii(graph, alu, mindist_impl="parametric")
-        memo = result.mindist_memo
-        counters = Counters()
-        first = schedule_length_lower_bound(
-            graph, result.mii, counters, memo=memo
-        )
-        assert counters.mindist_invocations == 0
-        assert counters.mindist_parametric_evals == 1
-        second = schedule_length_lower_bound(
-            graph, result.mii, counters, memo=memo
-        )
-        assert second == first
-        assert counters.mindist_parametric_evals == 1
-        assert memo.hits >= 1
+        first, second = Counters(), Counters()
+        assert rec_mii(graph, counters=first) == 4
+        assert rec_mii(graph, counters=second) == 4
+        assert second.snapshot() == first.snapshot()
+        assert first.mindist_invocations > 0
 
-    def test_memo_for_another_graph_is_ignored(self, alu):
-        stale = MinDistMemo(cross_iteration_graph(alu, distance=2))
+    def test_bound_equals_the_floyd_warshall_entry(self, alu):
         graph = cross_iteration_graph(alu, distance=1)
-        counters = Counters()
-        bound = schedule_length_lower_bound(graph, 4, counters, memo=stale)
-        assert bound == schedule_length_lower_bound(graph, 4)
-        assert counters.mindist_invocations == 1
-        assert not stale.hits and not stale.misses
+        for ii in range(compute_mii(graph, alu).mii, 9):
+            dist, index = compute_mindist(graph, ii)
+            assert schedule_length_lower_bound(graph, ii) == int(
+                dist[index[graph.START], index[graph.stop]]
+            )
 
-    def test_mindist_cache_hits_metric_emitted(self, alu):
+    def test_bound_below_rec_mii_raises(self, alu):
+        graph = cross_iteration_graph(alu, distance=1)
+        assert schedule_length_lower_bound(graph, 4) >= 0
+        with pytest.raises(GraphError, match="positive dependence circuit"):
+            schedule_length_lower_bound(graph, 3)
+
+    def test_compute_mii_emits_no_memo_metrics(self, alu):
         from repro.obs import ObsContext
 
         obs = ObsContext()
         graph = cross_iteration_graph(alu, distance=1)
         compute_mii(graph, alu, obs=obs)
         counters = obs.metrics.snapshot()["counters"]
-        assert "mii.mindist_cache_hits" in counters
-        assert counters["mii.mindist_cache_hits"] >= 0
+        assert "mii.mindist_cache_hits" not in counters
+        assert "mindist.parametric_evals" not in counters
 
     def test_whole_graph_ablation_measures_real_work_by_default(self, alu):
         """rec_mii_whole_graph must not silently share a memo — each call

@@ -1,9 +1,9 @@
-"""Property-based differential suite for the II-search fast paths.
+"""Property-based differential suite for a MinDist and a FindTimeSlot kernel.
 
-Two kernels carry the II search after the parametric rewrite, and both
-claim *bit-identical* behavior to their scalar oracles:
+Both claim *bit-identical* behavior to their scalar oracles:
 
-* :class:`repro.core.mindist.ParametricMinDist` vs per-II
+* :class:`repro.core.mindist.ParametricMinDist` (off the per-loop path,
+  kept for the benchmark's input screen) vs per-II
   :func:`repro.core.mindist.compute_mindist` — the closure's
   ``matrix(II)`` must equal the Floyd-Warshall matrix at every integer
   II (−inf cells included), and its closed-form ``crossing`` must equal
@@ -13,7 +13,7 @@ claim *bit-identical* behavior to their scalar oracles:
   as-if probe accounting.
 
 Hypothesis drives both over random graphs / occupancies × II ranges;
-fixed corpus-level parity lives in ``tests/test_differential.py``.
+corpus-level FindTimeSlot parity lives in ``tests/test_differential.py``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Counters, MinDistMemo
 from repro.core.mii import _min_feasible_ii
 from repro.core.mindist import (
     ParametricMinDist,
     compute_mindist,
     mindist_feasible,
-    resolve_mindist_impl,
 )
 from repro.core.mrt import ModuloReservations
 from repro.core.scc import strongly_connected_components
@@ -213,66 +211,6 @@ class TestFirstFreeSlotParity:
         assert mrt.checks - before == mrt.ii  # ii slots x one alternative
 
 
-class TestMemoKeyCaching:
-    """Satellite: whole-graph probes must not re-tuple ``range(n_ops)``
-    per query — the canonical all-ops key is built once per memo."""
-
-    def test_all_ops_key_is_built_once(self):
-        graph = DependenceGraph(MACHINE, name="memo-key")
-        graph.add_operation("fadd", dest="a")
-        graph.seal()
-        memo = MinDistMemo(graph)
-        assert memo.all_ops_key == tuple(range(graph.n_ops))
-        assert memo.all_ops_key is memo.all_ops_key
-        assert memo._ops_key(None) is memo.all_ops_key
-
-    def test_warm_whole_graph_probe_reuses_the_key(self):
-        graph = DependenceGraph(MACHINE, name="memo-warm")
-        a = graph.add_operation("fadd", dest="a")
-        graph.add_edge(a, a, DependenceKind.FLOW, distance=1)
-        graph.seal()
-        memo = MinDistMemo(graph)
-        first, _ = memo.mindist(2)
-        key = memo.all_ops_key
-        second, _ = memo.mindist(2)
-        assert memo.all_ops_key is key
-        assert second is first  # entry-cache hit, no rebuild of any kind
-
-    def test_explicit_ops_still_get_their_own_key(self):
-        graph = DependenceGraph(MACHINE, name="memo-subset")
-        graph.add_operation("fadd", dest="a")
-        graph.add_operation("fadd", dest="b")
-        graph.seal()
-        memo = MinDistMemo(graph)
-        assert memo._ops_key([1, 2]) == (1, 2)
-        assert memo._ops_key(None) is memo.all_ops_key
-
-
-class TestImplementationKnob:
-    def test_unknown_implementation_rejected(self):
-        with pytest.raises(ValueError, match="unknown MinDist"):
-            resolve_mindist_impl("bogus")
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MINDIST_IMPL", "fw")
-        assert resolve_mindist_impl() == "fw"
-        assert resolve_mindist_impl("parametric") == "parametric"
-
-    def test_memo_counters_separate_the_implementations(self):
-        graph = DependenceGraph(MACHINE, name="knob")
-        a = graph.add_operation("fadd", dest="a")
-        graph.add_edge(a, a, DependenceKind.FLOW, distance=1)
-        graph.seal()
-        fw, parametric = Counters(), Counters()
-        MinDistMemo(graph, impl="fw").mindist(2, counters=fw)
-        MinDistMemo(graph, impl="parametric").mindist(2, counters=parametric)
-        assert fw.mindist_invocations == 1
-        assert fw.mindist_parametric_evals == 0
-        assert parametric.mindist_invocations == 0
-        assert parametric.mindist_closure_inner > 0
-        assert parametric.mindist_parametric_evals == 1
-
-
 class TestDeadlineInKernels:
     """The closure build is the new long-running kernel; an expired
     cooperative deadline must abort it, not just the scalar oracle."""
@@ -295,14 +233,3 @@ class TestDeadlineInKernels:
         graph.seal()
         with pytest.raises(DeadlineExceeded, match="mindist"):
             ParametricMinDist(graph, deadline=self._expired())
-
-    def test_memo_closure_path_honors_deadline(self):
-        from repro.core.deadline import DeadlineExceeded
-
-        graph = DependenceGraph(MACHINE, name="deadline-memo")
-        a = graph.add_operation("fadd", dest="a")
-        graph.add_edge(a, a, DependenceKind.FLOW, distance=1)
-        graph.seal()
-        memo = MinDistMemo(graph, impl="parametric")
-        with pytest.raises(DeadlineExceeded, match="mindist"):
-            memo.feasible(2, deadline=self._expired())

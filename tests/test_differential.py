@@ -22,6 +22,7 @@ from repro.machine import cydra5
 from repro.simulator import check_equivalence
 from repro.simulator.state import make_initial_state
 from repro.workloads import build_corpus
+from repro.workloads.corpus import PAPER_CORPUS_SIZE
 
 #: Iterations to simulate — comfortably more than any kernel's stage count.
 SIM_ITERATIONS = 24
@@ -174,82 +175,83 @@ class TestMrtImplementationParity:
         assert forced.schedule.times == defaulted.schedule.times
 
 
-#: Counter fields that deliberately differ between the MinDist
-#: implementations: fw pays per-probe Floyd-Warshall passes, parametric
-#: pays one closure build plus O(N²·P) envelope evaluations.
-MINDIST_IMPL_COUNTERS = frozenset(
-    {
-        "mindist_inner",
-        "mindist_invocations",
-        "mindist_closure_inner",
-        "mindist_parametric_evals",
-    }
-)
+class TestMinDistOracleParity:
+    """The single-source MinDist passes the pipeline ships must give the
+    bits the paper's all-pairs ComputeMinDist gives: the schedule-length
+    bounds over the whole corpus, and the exact encoder's time windows —
+    hence its whole formula — on every DSL kernel."""
 
-
-def _impl_free_snapshot(counters):
-    return {
-        name: value
-        for name, value in counters.snapshot().items()
-        if name not in MINDIST_IMPL_COUNTERS
-    }
-
-
-class TestMinDistImplementationParity:
-    """The parametric closure and the per-II Floyd-Warshall oracle must
-    drive the II search identically.
-
-    Acceptance for the parametric kernel: over the *full* corpus, both
-    implementations reach the same II, the same per-operation times, the
-    same opcode alternatives, and — apart from the counters that *define*
-    the implementations' work — the same counter snapshot.  MinDist is a
-    pure representation change; only its cost model moves.
-    """
-
-    def test_modulo_scheduler_agrees_over_the_full_corpus(
-        self, machine, corpus
+    def test_bounds_match_the_fw_oracle(
+        self, corpus, evaluations
     ):
-        from repro.core import Counters
+        from repro.core.mindist import NO_PATH, compute_mindist
 
-        for loop in corpus:
-            fast_counters, oracle_counters = Counters(), Counters()
-            fast = modulo_schedule(
-                loop.graph,
-                machine,
-                counters=fast_counters,
-                mindist_impl="parametric",
-            )
-            oracle = modulo_schedule(
-                loop.graph,
-                machine,
-                counters=oracle_counters,
-                mindist_impl="fw",
-            )
-            context = loop.name
-            assert fast.ii == oracle.ii, context
-            assert fast.schedule.times == oracle.schedule.times, context
-            assert _alternative_names(fast.schedule) == _alternative_names(
-                oracle.schedule
-            ), context
-            assert _impl_free_snapshot(fast_counters) == _impl_free_snapshot(
-                oracle_counters
-            ), context
-            # The whole point of the closure: the oracle's N³ passes
-            # vanish, replaced by closure builds plus cheap evaluations.
-            assert fast_counters.mindist_invocations == 0, context
-            assert oracle_counters.mindist_parametric_evals == 0, context
+        for loop, evaluation in zip(corpus, evaluations):
+            graph = loop.graph
+            for ii, bound in (
+                (evaluation.mii, evaluation.mindist_sl_at_mii),
+                (evaluation.ii, evaluation.mindist_sl_at_ii),
+            ):
+                dist, index = compute_mindist(graph, ii)
+                value = dist[index[graph.START], index[graph.stop]]
+                expected = 0 if value == NO_PATH else int(value)
+                assert bound == expected, (loop.name, ii)
 
-    def test_environment_selects_the_oracle_end_to_end(
+    def test_paper_corpus_bounds_match_the_fw_oracle(self, machine):
+        """The paper-sized synthetic corpus, at MII and at the II the
+        shipped scheduler configuration (budget ratio 6) reaches."""
+        from repro.core.mindist import (
+            NO_PATH,
+            compute_mindist,
+            schedule_length_lower_bound,
+        )
+
+        paper = build_corpus(
+            machine,
+            n_synthetic=PAPER_CORPUS_SIZE - 65,
+            include_kernels=False,
+            seed=1,
+        )
+        for loop in paper:
+            graph = loop.graph
+            result = modulo_schedule(graph, machine, budget_ratio=6.0)
+            for ii in {result.mii_result.mii, result.ii}:
+                dist, index = compute_mindist(graph, ii)
+                value = dist[index[graph.START], index[graph.stop]]
+                expected = 0 if value == NO_PATH else int(value)
+                assert schedule_length_lower_bound(graph, ii) == expected, (
+                    loop.name,
+                    ii,
+                )
+
+    def test_kernel_encodings_match_the_fw_oracle(
         self, machine, corpus, monkeypatch
     ):
-        """REPRO_MINDIST_IMPL=fw routes a whole evaluation through the
-        scalar oracle and changes no observable result."""
-        loop = corpus[0]
-        defaulted = modulo_schedule(loop.graph, machine)
-        monkeypatch.setenv("REPRO_MINDIST_IMPL", "fw")
-        forced = modulo_schedule(loop.graph, machine)
-        assert forced.ii == defaulted.ii
-        assert forced.schedule.times == defaulted.schedule.times
+        import repro.backends.encode as encode
+        from tests.oracles.mindist import fw_single_source
+
+        kernels = [loop for loop in corpus if loop.lowered is not None]
+        assert len(kernels) == 65
+        for loop in kernels:
+            graph = loop.graph
+            mii = compute_mii(graph, machine).mii
+            for ii in range(mii, mii + 4):
+                shipped = encode.encode_exact_ii(graph, machine, ii, max_slack=8)
+                with monkeypatch.context() as patch:
+                    patch.setattr(encode, "single_source_mindist", fw_single_source)
+                    oracle = encode.encode_exact_ii(
+                        graph, machine, ii, max_slack=8
+                    )
+                context = (loop.name, ii)
+                assert (shipped.status, shipped.reason) == (
+                    oracle.status,
+                    oracle.reason,
+                ), context
+                assert shipped.lo == oracle.lo, context
+                assert shipped.hi == oracle.hi, context
+                assert shipped.n_vars == oracle.n_vars, context
+                assert len(shipped.clauses) == len(oracle.clauses), context
+                assert shipped.clauses == oracle.clauses, context
 
 
 class TestSlotImplementationParity:
