@@ -1,5 +1,10 @@
 """Scheduler hot-path microbenchmarks: bitmask MRT kernel vs dict oracle.
 
+The oracles — the dict-of-cells MRT and the scalar (slot, alternative)
+FindTimeSlot scan — live in ``tests/oracles/`` and are patched into the
+scheduler for the oracle arms; run from the repository root
+(``python -m pytest benchmarks/...``) so ``tests`` is importable.
+
 Three measurements, each appended as one record to ``BENCH_SCHED.json``
 at the repository root — a trajectory of scheduler-kernel performance
 that accumulates across runs (and that the CI perf-smoke job reads back
@@ -35,12 +40,18 @@ import time
 from pathlib import Path
 from time import perf_counter
 
+import pytest
 from conftest import QUALITY_BUDGET_RATIO
 
+import repro.core.scheduler as scheduler_module
 from repro.core import Counters
-from repro.core.mrt import DictModuloReservations, make_modulo_reservations
 from repro.core.mii import compute_mii
-from repro.core.scheduler import modulo_schedule
+from repro.core.mrt import ModuloReservations
+from repro.core.scheduler import IterativeScheduler, modulo_schedule
+
+from tests.oracles import patch_in_oracles
+from tests.oracles.findtimeslot import scalar_find_time_slot
+from tests.oracles.mrt import DictModuloReservations
 
 BENCH_SCHED = Path(__file__).resolve().parent.parent / "BENCH_SCHED.json"
 
@@ -99,26 +110,24 @@ def _record_kernel_trace(machine, corpus):
     port at issue and at data return) conflict more often and attract
     disproportionately many slot scans, and the occupancy each probe
     runs against decides how soon the oracle's scan can exit early.
+    The scalar FindTimeSlot oracle drives the recording, so every
+    (slot, alternative) probe is one logged ``conflicts`` call.
     """
-    import repro.core.scheduler as scheduler_module
-
     events = []
-    original = scheduler_module.make_modulo_reservations
 
-    def recording_make(ii, machine=None, impl=None):
+    def recording_mrt(ii, mask_set=None):
         events.append(("new", ii, 0))
-        return _RecordingMRT(
-            original(ii, machine=machine, impl="mask"), events
-        )
+        return _RecordingMRT(ModuloReservations(ii, mask_set=mask_set), events)
 
-    scheduler_module.make_modulo_reservations = recording_make
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler_module, "ModuloReservations", recording_mrt)
+        patch.setattr(
+            IterativeScheduler, "_find_time_slot", scalar_find_time_slot
+        )
         for loop in corpus:
             modulo_schedule(
                 loop.graph, machine, budget_ratio=QUALITY_BUDGET_RATIO
             )
-    finally:
-        scheduler_module.make_modulo_reservations = original
     return events
 
 
@@ -154,9 +163,12 @@ def _replay(events, impl, machine, repeats):
             if code == 0:
                 mrt.conflicts(payload, time_)
             elif code == 1:
-                mrt = make_modulo_reservations(
-                    payload, machine=machine, impl=impl
-                )
+                if impl == "dict":
+                    mrt = DictModuloReservations(payload)
+                else:
+                    mrt = ModuloReservations(
+                        payload, mask_set=machine.compiled_masks(payload)
+                    )
                 created.append(mrt)
             elif code == 2:
                 mrt.reserve(payload[0], payload[1], time_)
@@ -182,7 +194,6 @@ def test_conflict_probe_throughput(machine, corpus, emit):
     mask_seconds, mask_mrts = _replay(events, "mask", machine, repeats)
     dict_seconds, dict_mrts = _replay(events, "dict", machine, repeats)
 
-    mask_cell_probes = sum(mrt.cell_probes for mrt in mask_mrts)
     dict_cell_probes = sum(mrt.cell_probes for mrt in dict_mrts)
     total_probes = repeats * n_probes
     speedup = dict_seconds / mask_seconds
@@ -194,7 +205,8 @@ def test_conflict_probe_throughput(machine, corpus, emit):
         "mask_probes_per_second": round(total_probes / mask_seconds),
         "dict_probes_per_second": round(total_probes / dict_seconds),
         "speedup": round(speedup, 2),
-        "mask_cell_probes": mask_cell_probes,
+        # The bitmask table has no cell dict: its probes are one AND.
+        "mask_cell_probes": 0,
         "dict_cell_probes": dict_cell_probes,
     }
     _record("conflict_probe", result)
@@ -207,19 +219,19 @@ def test_conflict_probe_throughput(machine, corpus, emit):
         f"  dict    {result['dict_probes_per_second']:>12,} probes/s "
         f"({dict_seconds:.3f}s)\n"
         f"  speedup {speedup:.1f}x   dict cell probes "
-        f"{dict_cell_probes:,} vs mask {mask_cell_probes}",
+        f"{dict_cell_probes:,} vs mask 0",
     )
-    assert mask_cell_probes == 0  # the fast path touches no cell dict
     assert dict_cell_probes > 0
     assert speedup >= 3.0, f"bitmask kernel only {speedup:.2f}x the oracle"
 
 
-def test_corpus_end_to_end(machine, corpus, emit):
-    """Scheduling the corpus must be measurably faster under the mask MRT."""
+def test_corpus_end_to_end(machine, corpus, emit, monkeypatch):
+    """Scheduling the corpus must be measurably faster under the mask MRT
+    than under the dict oracle (which runs with the scalar slot scan)."""
     loops = corpus[:E2E_LOOPS]
     mii_results = [compute_mii(loop.graph, machine) for loop in loops]
 
-    def run(impl):
+    def run():
         counters = Counters()
         results = []
         start = perf_counter()
@@ -231,13 +243,14 @@ def test_corpus_end_to_end(machine, corpus, emit):
                     budget_ratio=QUALITY_BUDGET_RATIO,
                     counters=counters,
                     mii_result=mii_result,
-                    mrt_impl=impl,
                 )
             )
         return perf_counter() - start, counters, results
 
-    mask_seconds, mask_counters, mask_results = run("mask")
-    dict_seconds, dict_counters, dict_results = run("dict")
+    mask_seconds, mask_counters, mask_results = run()
+    with monkeypatch.context() as patch:
+        patch_in_oracles(patch)
+        dict_seconds, dict_counters, dict_results = run()
 
     # Differential guard: identical work and identical schedules.
     assert mask_counters.snapshot() == dict_counters.snapshot()
@@ -356,7 +369,7 @@ def _pr3_per_loop_seconds() -> float:
     )
 
 
-def test_slot_probe_batch(machine, corpus, emit):
+def test_slot_probe_batch(machine, corpus, emit, monkeypatch):
     """first_free_slot must beat the scalar scan >= 2x on the isolated
     kernel, and the batched scheduling pipeline must beat the recorded
     PR-3 ``corpus_end_to_end`` entry >= 1.5x per loop.
@@ -368,10 +381,9 @@ def test_slot_probe_batch(machine, corpus, emit):
     probing plus the shared SCC/preparation caches.  The same-run scalar
     arm is reported alongside to isolate the slot batching itself, and
     both arms must produce bit-identical schedules and counters (the
-    batch path bills ``findtimeslot_iters`` as if it had scanned).
+    batch path bills ``findtimeslot_iters`` as if it had scanned).  The
+    scalar arm patches in the FindTimeSlot oracle from ``tests/oracles/``.
     """
-    from repro.core.mrt import ModuloReservations
-
     # -- isolated kernel: replay one probe set both ways ----------------
     mask_set = machine.compiled_masks(PROBE_II)
     alternatives = [
@@ -424,30 +436,36 @@ def test_slot_probe_batch(machine, corpus, emit):
     loops = corpus[:E2E_LOOPS]
     mii_results = [compute_mii(loop.graph, machine) for loop in loops]
 
-    def run(slot_impl):
+    def run(scalar):
         counters = Counters()
         results = []
-        start = perf_counter()
-        for loop, mii_result in zip(loops, mii_results):
-            results.append(
-                modulo_schedule(
-                    loop.graph,
-                    machine,
-                    budget_ratio=QUALITY_BUDGET_RATIO,
-                    counters=counters,
-                    mii_result=mii_result,
-                    mrt_impl="mask",
-                    slot_impl=slot_impl,
+        with monkeypatch.context() as patch:
+            if scalar:
+                patch.setattr(
+                    IterativeScheduler,
+                    "_find_time_slot",
+                    scalar_find_time_slot,
                 )
-            )
-        return perf_counter() - start, counters, results
+            start = perf_counter()
+            for loop, mii_result in zip(loops, mii_results):
+                results.append(
+                    modulo_schedule(
+                        loop.graph,
+                        machine,
+                        budget_ratio=QUALITY_BUDGET_RATIO,
+                        counters=counters,
+                        mii_result=mii_result,
+                    )
+                )
+            seconds = perf_counter() - start
+        return seconds, counters, results
 
     # Best of three alternating trials: the floor compares against a
     # *stored* record, so per-run scheduler noise must not decide it.
     batch_trials, scalar_trials = [], []
     for _ in range(3):
-        scalar_trials.append(run("scalar"))
-        batch_trials.append(run("batch"))
+        scalar_trials.append(run(scalar=True))
+        batch_trials.append(run(scalar=False))
     scalar_pipe_seconds, scalar_counters, scalar_results = min(
         scalar_trials, key=lambda r: r[0]
     )

@@ -8,8 +8,7 @@ RecMII <= ResMII for the large majority of loops; very few non-trivial
 SCCs, almost all of them tiny.
 """
 
-from repro.analysis import render_table, table3_rows
-from repro.analysis.runner import evaluate_loop
+from repro.analysis import EvaluationEngine, render_table, table3_rows
 
 
 def _rows(evaluations):
@@ -36,4 +35,4 @@ def test_table3_program_stats(machine, corpus, evaluations, emit, benchmark):
     nodes = by_name["Number of nodes per SCC"]
     assert nodes.frequency_of_minimum >= 0.8  # paper: 0.93
 
-    benchmark(evaluate_loop, corpus[0], machine)
+    benchmark(EvaluationEngine(machine).evaluate_loop, corpus[0])

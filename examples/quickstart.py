@@ -3,7 +3,8 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import cydra5, modulo_schedule, validate_schedule
+from repro import cydra5, modulo_schedule
+from repro.check import check_schedule
 from repro.loopir import compile_loop_full
 from repro.simulator import check_equivalence
 
@@ -37,8 +38,9 @@ def main() -> None:
     print(result.schedule.describe())
 
     # 4. Statically validate every dependence and the modulo constraint.
-    problems = validate_schedule(graph, machine, result.schedule)
-    print(f"\nstatic validation: {'OK' if not problems else problems}")
+    diagnostics = check_schedule(graph, machine, result.schedule)
+    print(f"\nstatic validation: "
+          f"{'OK' if diagnostics.ok else diagnostics.render()}")
 
     # 5. Execute the pipelined schedule against the sequential oracle.
     report = check_equivalence(lowered, result.schedule, n=50, seed=1)

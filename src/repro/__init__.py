@@ -61,7 +61,6 @@ from repro.core import (
     SchedulingFailure,
     compute_mii,
     modulo_schedule,
-    validate_schedule,
 )
 from repro.baselines import list_schedule, unroll_and_schedule
 
@@ -89,7 +88,6 @@ __all__ = [
     "SchedulingFailure",
     "compute_mii",
     "modulo_schedule",
-    "validate_schedule",
     "list_schedule",
     "unroll_and_schedule",
     "__version__",

@@ -6,12 +6,14 @@
   ``EntryFreq*SL + (LoopFreq-EntryFreq)*II`` and its lower bound;
 * :mod:`repro.analysis.regression` — least-mean-square fits of counter
   data against N for the Table-4 complexity study;
-* :mod:`repro.analysis.runner` — one-stop evaluation of a corpus loop
-  (MII, modulo schedule, list-schedule and MinDist lower bounds, counters);
-* :mod:`repro.analysis.engine` — the parallel, content-addressed,
-  fault-tolerant corpus-evaluation engine (process-pool fan-out, on-disk
-  result cache, watchdog timeouts, crash-isolated retries,
-  checkpoint/resume, degradation ladder);
+* :mod:`repro.analysis.runner` — the per-loop :class:`LoopEvaluation`
+  record (MII, modulo schedule, list-schedule and MinDist lower bounds,
+  counters) and :func:`evaluate_corpus`;
+* :mod:`repro.analysis.engine` — the one per-loop evaluation pipeline
+  (:meth:`EvaluationEngine.evaluate_loop` for a single loop) inside the
+  parallel, content-addressed, fault-tolerant corpus-evaluation engine
+  (process-pool fan-out, on-disk result cache, watchdog timeouts,
+  crash-isolated retries, checkpoint/resume, degradation ladder);
 * :mod:`repro.analysis.resilience` — the engine's resilience policies
   (failure taxonomy, retry backoff, result journal, quarantine);
 * :mod:`repro.analysis.faultinject` — deterministic fault injection for
@@ -48,7 +50,7 @@ from repro.analysis.regression import (
     load_timing_report,
     timing_speedup,
 )
-from repro.analysis.runner import LoopEvaluation, evaluate_loop, evaluate_corpus
+from repro.analysis.runner import LoopEvaluation, evaluate_corpus
 from repro.analysis.report import (
     render_obs_summary,
     render_phase_summary,
@@ -85,7 +87,6 @@ __all__ = [
     "load_timing_report",
     "timing_speedup",
     "LoopEvaluation",
-    "evaluate_loop",
     "evaluate_corpus",
     "render_obs_summary",
     "render_phase_summary",

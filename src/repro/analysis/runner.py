@@ -1,4 +1,5 @@
-"""One-stop evaluation of corpus loops: everything Section 4 measures."""
+"""The per-loop record of everything Section 4 measures, and the
+corpus-level entry point that fills it through the evaluation engine."""
 
 from __future__ import annotations
 
@@ -6,9 +7,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.model import execution_time, execution_time_bound
-from repro.baselines.list_scheduler import list_schedule_length
-from repro.core.mii import MIIResult, compute_mii
-from repro.core.mindist import schedule_length_lower_bound
+from repro.core.mii import MIIResult
 from repro.core.scheduler import ModuloScheduleResult
 from repro.core.stats import Counters
 from repro.workloads.corpus import CorpusLoop
@@ -125,45 +124,6 @@ class LoopEvaluation:
     def optimality_gap(self) -> Optional[int]:
         """Heuristic II minus proven-minimal II (None without a proof)."""
         return self.result.optimality_gap
-
-
-def evaluate_loop(
-    loop: CorpusLoop,
-    machine,
-    budget_ratio: float = 6.0,
-    exact_mii: bool = True,
-    backend: str = "ims",
-) -> LoopEvaluation:
-    """Schedule one corpus loop and gather every Section-4 measurement."""
-    from repro.backends import IIPolicy, get_backend
-
-    counters = Counters()
-    mii_result = compute_mii(loop.graph, machine, counters, exact=exact_mii)
-    result = get_backend(backend).schedule(
-        loop.graph,
-        machine,
-        IIPolicy(budget_ratio=budget_ratio, exact_mii=exact_mii),
-        counters=counters,
-        mii_result=mii_result,
-    )
-    list_sl = list_schedule_length(loop.graph, machine)
-    at_mii = schedule_length_lower_bound(loop.graph, mii_result.mii)
-    if result.ii == mii_result.mii:
-        at_ii = at_mii
-    else:
-        at_ii = schedule_length_lower_bound(loop.graph, result.ii)
-    return LoopEvaluation(
-        loop=loop,
-        n_ops=loop.graph.n_ops,
-        n_real_ops=loop.graph.n_real_ops,
-        n_edges=loop.graph.n_edges,
-        mii_result=mii_result,
-        result=result,
-        list_sl=list_sl,
-        mindist_sl_at_mii=at_mii,
-        mindist_sl_at_ii=at_ii,
-        counters=counters,
-    )
 
 
 def evaluate_corpus(

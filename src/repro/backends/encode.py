@@ -41,7 +41,6 @@ from repro.core.deadline import Deadline, check_deadline
 from repro.core.mindist import NO_PATH, single_source_mindist
 from repro.core.schedule import Schedule
 from repro.ir.graph import DependenceGraph
-from repro.machine.machine import CompiledMaskSet
 from repro.machine.resources import ReservationTable
 
 #: Encoding outcomes.
@@ -124,12 +123,7 @@ def encode_exact_ii(
         return ExactEncoding(ii, INFEASIBLE, reason="recurrence")
     to_stop = single_source_mindist(graph, ii, to_stop=True, deadline=deadline)
 
-    compiled_masks = getattr(machine, "compiled_masks", None)
-    mask_set = (
-        compiled_masks(ii)
-        if compiled_masks is not None
-        else CompiledMaskSet(machine, ii)
-    )
+    mask_set = machine.compiled_masks(ii)
     feasible: Dict[str, tuple] = {}
     for operation in graph.real_operations():
         if operation.opcode in feasible:
@@ -373,6 +367,5 @@ def decode_model(
             raise AssertionError(
                 f"operation {op} has {len(picked)} chosen alternatives"
             )
-        compiled = usable[picked[0]]
-        alternatives[op] = getattr(compiled, "table", compiled)
+        alternatives[op] = usable[picked[0]].table
     return Schedule(graph, encoding.ii, times, alternatives)

@@ -9,7 +9,10 @@ Public entry points:
   scheduling algorithm of Section 3 (Figures 2-4), including the HeightR
   priority, Estart windows, the modulo reservation table, displacement
   with the forward-progress rule, and the BudgetRatio mechanism.
-* :func:`repro.core.validate.validate_schedule` — static legality checks.
+
+Static legality checks of finished schedules live in :mod:`repro.check`
+(:func:`repro.check.check_schedule`), which shares no conflict-probe code
+with the scheduler.
 """
 
 from repro.core.stats import Counters
@@ -18,14 +21,9 @@ from repro.core.mindist import compute_mindist, mindist_feasible
 from repro.core.mii import MIIResult, compute_mii, res_mii, rec_mii
 from repro.core.heights import height_r
 from repro.core.mrt import (
-    DictLinearReservations,
-    DictModuloReservations,
     LinearReservations,
     ModuloReservations,
     ReservationConflict,
-    make_linear_reservations,
-    make_modulo_reservations,
-    resolve_mrt_impl,
 )
 from repro.core.schedule import Schedule
 from repro.core.scheduler import (
@@ -34,7 +32,6 @@ from repro.core.scheduler import (
     SchedulingFailure,
     modulo_schedule,
 )
-from repro.core.validate import validate_schedule, assert_valid_schedule
 from repro.core.preunroll import (
     UnrollRecommendation,
     recommend_unroll,
@@ -63,17 +60,10 @@ __all__ = [
     "height_r",
     "LinearReservations",
     "ModuloReservations",
-    "DictLinearReservations",
-    "DictModuloReservations",
     "ReservationConflict",
-    "make_linear_reservations",
-    "make_modulo_reservations",
-    "resolve_mrt_impl",
     "Schedule",
     "IterativeScheduler",
     "ModuloScheduleResult",
     "SchedulingFailure",
     "modulo_schedule",
-    "validate_schedule",
-    "assert_valid_schedule",
 ]

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analysis import evaluate_corpus, evaluate_loop, render_series, render_table
+from repro.analysis import (
+    EvaluationEngine,
+    evaluate_corpus,
+    render_series,
+    render_table,
+)
 from repro.machine import cydra5
 from repro.workloads import build_corpus
 
@@ -45,7 +50,7 @@ class TestEvaluation:
         assert sample.counters.mindist_invocations >= 0
 
     def test_single_loop_evaluation(self, machine, corpus):
-        evaluation = evaluate_loop(corpus[0], machine)
+        evaluation = EvaluationEngine(machine).evaluate_loop(corpus[0])
         assert evaluation.loop is corpus[0]
         assert evaluation.n_real_ops == corpus[0].graph.n_real_ops
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.engine import (
+    EvaluationEngine,
     cache_key,
     evaluation_from_dict,
     evaluation_to_dict,
 )
-from repro.analysis.runner import evaluate_loop
 from repro.backends import IIPolicy, SchedulerBackend, backend_names, get_backend
 from repro.backends.z3bridge import SolverUnavailable, z3_available
 from repro.check import check_schedule
@@ -169,7 +169,9 @@ class TestCacheAndPayload:
             assert key != cache_key(loop, machine)
 
     def test_payload_round_trips_backend_fields(self, name, machine, loop):
-        evaluation = evaluate_loop(loop, machine, backend=name)
+        evaluation = EvaluationEngine(machine, backend=name).evaluate_loop(
+            loop
+        )
         payload = evaluation_to_dict(evaluation, machine)
         restored = evaluation_from_dict(payload, loop, machine)
         assert restored.backend == evaluation.backend == name

@@ -11,7 +11,6 @@ import pytest
 from repro.baselines import list_schedule
 from repro.check import check_schedule
 from repro.core import modulo_schedule
-from repro.core.validate import assert_valid_schedule, validate_schedule
 from repro.loopir import compile_loop_full
 from repro.machine import cydra5, single_alu_machine, two_alu_machine
 
@@ -66,7 +65,8 @@ class TestLegacyStringApi:
         machine = single_alu_machine()
         lowered = compile_loop_full(DOT, machine)
         result = modulo_schedule(lowered.graph, machine)
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        clean = check_schedule(lowered.graph, machine, result.schedule)
+        assert clean.messages() == []
         bad_times = dict(result.schedule.times)
         bad_times[lowered.graph.START] = 3
         from repro.core.schedule import Schedule
@@ -75,10 +75,9 @@ class TestLegacyStringApi:
             lowered.graph, result.schedule.ii, bad_times,
             dict(result.schedule.alternatives),
         )
-        problems = validate_schedule(lowered.graph, machine, bad)
-        assert any("START" in p for p in problems)
-        with pytest.raises(AssertionError):
-            assert_valid_schedule(lowered.graph, machine, bad)
+        diags = check_schedule(lowered.graph, machine, bad)
+        assert not diags.ok
+        assert any("START" in message for message in diags.messages())
 
     def test_diagnostics_carry_edge_identity(self):
         """SCHED005 names the edge: op ids, kind, distance, delay."""

@@ -4,9 +4,9 @@ Random reserve/release scripts drive both implementations in lockstep;
 after every step they must agree on every observable — ``conflicts``,
 ``conflicting_ops``, ``occupancy``, ``holds``, whether ``reserve`` raised
 and with exactly which :class:`ReservationConflict` message, and the
-byte-exact ``render`` output.  The factory/flag plumbing and the wide
-reservation-table regression (the old ``reserve`` probed an O(uses)
-list per use) live here too.
+byte-exact ``render`` output.  The oracle lives in
+``tests/oracles/mrt.py``.  The wide reservation-table regression (the
+old ``reserve`` probed an O(uses) list per use) lives here too.
 """
 
 from __future__ import annotations
@@ -16,17 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import (
-    DictLinearReservations,
-    DictModuloReservations,
     LinearReservations,
     ModuloReservations,
     ReservationConflict,
-    make_linear_reservations,
-    make_modulo_reservations,
-    resolve_mrt_impl,
 )
-from repro.core.mrt import MRT_IMPL_ENV
 from repro.machine import ReservationTable, cydra5
+
+from tests.oracles.mrt import DictLinearReservations, DictModuloReservations
 
 _SETTINGS = settings(
     max_examples=60,
@@ -146,37 +142,10 @@ class TestLinearLockstep:
             _assert_agree(mask, oracle, pool, times)
 
 
-class TestFactories:
-    def test_default_is_the_bitmask_table(self):
-        assert type(make_modulo_reservations(4)) is ModuloReservations
-        assert type(make_linear_reservations()) is LinearReservations
-
-    def test_dict_oracle_selectable(self):
-        mrt = make_modulo_reservations(4, impl="dict")
-        assert type(mrt) is DictModuloReservations
-        assert type(make_linear_reservations(impl="dict")) is (
-            DictLinearReservations
-        )
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(MRT_IMPL_ENV, "dict")
-        assert resolve_mrt_impl() == "dict"
-        assert type(make_modulo_reservations(3)) is DictModuloReservations
-        # An explicit argument beats the environment.
-        assert type(make_modulo_reservations(3, impl="mask")) is (
-            ModuloReservations
-        )
-
-    def test_unknown_impl_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_mrt_impl("quantum")
-        monkeypatch.setenv(MRT_IMPL_ENV, "bogus")
-        with pytest.raises(ValueError):
-            make_modulo_reservations(4)
-
+class TestConstructor:
     def test_machine_seeds_the_resource_rows(self):
         machine = cydra5()
-        mrt = make_modulo_reservations(4, machine=machine)
+        mrt = ModuloReservations(4, mask_set=machine.compiled_masks(4))
         alternative = machine.opcode("fadd").alternatives[0]
         mrt.reserve(1, alternative, 0)
         oracle = DictModuloReservations(4)

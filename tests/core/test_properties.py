@@ -14,10 +14,10 @@ from repro.core import (
     height_r,
     mindist_feasible,
     modulo_schedule,
-    validate_schedule,
 )
 from repro.core.mindist import NO_PATH
 from repro.baselines import list_schedule
+from repro.check import check_schedule
 from repro.ir import DependenceGraph, DependenceKind
 from repro.machine import single_alu_machine, two_alu_machine
 
@@ -68,7 +68,7 @@ class TestSchedulerProperties:
     def test_schedule_is_always_valid(self, machine_graph):
         machine, graph = machine_graph
         result = modulo_schedule(graph, machine, budget_ratio=6.0)
-        assert validate_schedule(graph, machine, result.schedule) == []
+        assert check_schedule(graph, machine, result.schedule).messages() == []
 
     @given(random_graphs())
     @_SETTINGS

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import MACHINES
 from repro.machine import ReservationTable, cydra5
 from repro.machine.machine import _MASK_SET_CACHE
 from repro.machine.resources import (
@@ -9,6 +10,8 @@ from repro.machine.resources import (
     compile_alternative,
     compile_linear_uses,
 )
+
+from tests.oracles.mrt import DictModuloReservations
 
 ROWS = {"a": 0, "b": 1}
 
@@ -111,3 +114,36 @@ class TestMaskSetCache:
         for opcode in machine.opcode_names:
             for compiled in mask_set.feasible(opcode):
                 assert not compiled.self_conflicting
+
+    def test_feasible_matches_the_dict_oracle_filter(self):
+        """The scheduler takes each opcode's placeable alternatives from
+        ``compiled_masks(ii).feasible``; it must keep exactly the source
+        tables the dict MRT oracle does not find self-conflicting, in
+        declaration order, on every shipped machine for every opcode and
+        II 1..12."""
+        filtered = 0
+        for name, factory in sorted(MACHINES.items()):
+            machine = factory()
+            for ii in range(1, 13):
+                mask_set = machine.compiled_masks(ii)
+                oracle = DictModuloReservations(ii)
+                for opcode in machine.opcode_names:
+                    tables = machine.opcode(opcode).alternatives
+                    expected = [
+                        table
+                        for table in tables
+                        if not oracle.self_conflicting(table)
+                    ]
+                    feasible = [
+                        compiled.table
+                        for compiled in mask_set.feasible(opcode)
+                    ]
+                    context = (name, opcode, ii)
+                    assert len(feasible) == len(expected), context
+                    assert all(
+                        got is want for got, want in zip(feasible, expected)
+                    ), context
+                    filtered += len(tables) - len(expected)
+        # The Cydra 5's multi-cycle tables fold onto themselves at small
+        # IIs, so the comparison covers rejected alternatives too.
+        assert filtered > 0

@@ -24,6 +24,8 @@ from repro.simulator.state import make_initial_state
 from repro.workloads import build_corpus
 from repro.workloads.corpus import PAPER_CORPUS_SIZE
 
+from tests.oracles import patch_in_oracles
+
 #: Iterations to simulate — comfortably more than any kernel's stage count.
 SIM_ITERATIONS = 24
 
@@ -128,20 +130,22 @@ class TestMrtImplementationParity:
     Acceptance for the bitmask kernel: over the *full* corpus, both
     implementations reach the same II, the same schedule length, the
     same per-operation times, and pick the same opcode alternatives —
-    the fast path is a pure representation change.
+    the fast path is a pure representation change.  The oracle arm runs
+    the dict MRT under the scalar FindTimeSlot scan, both from
+    ``tests/oracles/``.
     """
 
     def test_modulo_scheduler_agrees_over_the_full_corpus(
-        self, machine, corpus
+        self, machine, corpus, monkeypatch
     ):
         for loop in corpus:
             mii_result = compute_mii(loop.graph, machine)
-            mask = modulo_schedule(
-                loop.graph, machine, mii_result=mii_result, mrt_impl="mask"
-            )
-            oracle = modulo_schedule(
-                loop.graph, machine, mii_result=mii_result, mrt_impl="dict"
-            )
+            mask = modulo_schedule(loop.graph, machine, mii_result=mii_result)
+            with monkeypatch.context() as patch:
+                patch_in_oracles(patch)
+                oracle = modulo_schedule(
+                    loop.graph, machine, mii_result=mii_result
+                )
             context = loop.name
             assert mask.ii == oracle.ii, context
             assert (
@@ -153,26 +157,16 @@ class TestMrtImplementationParity:
                 oracle.schedule
             ), context
 
-    def test_list_scheduler_agrees(self, machine, corpus):
+    def test_list_scheduler_agrees(self, machine, corpus, monkeypatch):
         for loop in corpus[:20]:
-            mask = list_schedule(loop.graph, machine, mrt_impl="mask")
-            oracle = list_schedule(loop.graph, machine, mrt_impl="dict")
+            mask = list_schedule(loop.graph, machine)
+            with monkeypatch.context() as patch:
+                patch_in_oracles(patch)
+                oracle = list_schedule(loop.graph, machine)
             assert mask.times == oracle.times, loop.name
             assert _alternative_names(mask) == _alternative_names(oracle), (
                 loop.name
             )
-
-    def test_environment_selects_the_oracle_end_to_end(
-        self, machine, corpus, monkeypatch
-    ):
-        """REPRO_MRT_IMPL=dict routes a whole evaluation through the
-        oracle and changes no observable result."""
-        loop = corpus[0]
-        defaulted = modulo_schedule(loop.graph, machine)
-        monkeypatch.setenv("REPRO_MRT_IMPL", "dict")
-        forced = modulo_schedule(loop.graph, machine)
-        assert forced.ii == defaulted.ii
-        assert forced.schedule.times == defaulted.schedule.times
 
 
 class TestMinDistOracleParity:
@@ -261,21 +255,24 @@ class TestSlotImplementationParity:
     as if the scalar scan had run."""
 
     def test_modulo_scheduler_agrees_over_the_full_corpus(
-        self, machine, corpus
+        self, machine, corpus, monkeypatch
     ):
         from repro.core import Counters
+        from repro.core.scheduler import IterativeScheduler
+        from tests.oracles.findtimeslot import scalar_find_time_slot
 
         for loop in corpus:
             batch_counters, scalar_counters = Counters(), Counters()
             batch = modulo_schedule(
-                loop.graph, machine, counters=batch_counters, slot_impl="batch"
+                loop.graph, machine, counters=batch_counters
             )
-            scalar = modulo_schedule(
-                loop.graph,
-                machine,
-                counters=scalar_counters,
-                slot_impl="scalar",
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    IterativeScheduler, "_find_time_slot", scalar_find_time_slot
+                )
+                scalar = modulo_schedule(
+                    loop.graph, machine, counters=scalar_counters
+                )
             context = loop.name
             assert batch.ii == scalar.ii, context
             assert batch.schedule.times == scalar.schedule.times, context
@@ -285,16 +282,6 @@ class TestSlotImplementationParity:
             assert (
                 batch_counters.snapshot() == scalar_counters.snapshot()
             ), context
-
-    def test_environment_selects_the_scalar_scan_end_to_end(
-        self, machine, corpus, monkeypatch
-    ):
-        loop = corpus[0]
-        defaulted = modulo_schedule(loop.graph, machine)
-        monkeypatch.setenv("REPRO_SLOT_IMPL", "scalar")
-        forced = modulo_schedule(loop.graph, machine)
-        assert forced.ii == defaulted.ii
-        assert forced.schedule.times == defaulted.schedule.times
 
 
 @pytest.fixture(scope="module")

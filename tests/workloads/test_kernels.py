@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import modulo_schedule
 from repro.loopir import compile_loop_full
 from repro.machine import cydra5, two_alu_machine
 from repro.simulator import check_equivalence
@@ -38,7 +39,8 @@ class TestEndToEnd:
         machine = cydra5()
         lowered = compile_loop_full(KERNELS[name].source, machine, name=name)
         result = modulo_schedule(lowered.graph, machine, budget_ratio=6.0)
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        diagnostics = check_schedule(lowered.graph, machine, result.schedule)
+        assert diagnostics.messages() == []
         assert result.ii >= result.mii_result.mii
         report = check_equivalence(lowered, result.schedule, n=19, seed=11)
         assert report.ok, report.describe()
